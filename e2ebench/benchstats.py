@@ -1,4 +1,4 @@
-"""Metric arithmetic of the benchmark: percentiles, due-time latency,
+"""Metric arithmetic of the benchmark: percentile choice, due-time latency,
 span self time and run-to-run spread.
 
 Pure functions over plain numbers, so ``test_e2ebench.py`` can pin them
@@ -10,6 +10,8 @@ from __future__ import annotations
 import statistics
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 #: Percentiles a latency report may use, highest first.
 TAIL_PERCENTILES = (99.9, 99.0, 90.0, 50.0)
 
@@ -17,17 +19,6 @@ TAIL_PERCENTILES = (99.9, 99.0, 90.0, 50.0)
 def metric(value: float, unit: str) -> Dict[str, object]:
     """One entry of the result line's ``metrics`` object."""
     return {"value": float(value), "unit": unit}
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Linear-interpolated ``q``-th percentile (numpy's default method)."""
-    if not values:
-        raise ValueError("percentile of no samples")
-    ordered = sorted(values)
-    position = (len(ordered) - 1) * q / 100.0
-    low = int(position)
-    high = min(low + 1, len(ordered) - 1)
-    return ordered[low] + (ordered[high] - ordered[low]) * (position - low)
 
 
 def supported_percentile(count: int, min_beyond: int = 10) -> Optional[float]:
@@ -44,13 +35,13 @@ def supported_percentile(count: int, min_beyond: int = 10) -> Optional[float]:
 
 
 def require_percentile(values: Sequence[float], q: float, min_beyond: int = 10) -> float:
-    """``percentile(values, q)``, refusing a tail the sample cannot support."""
+    """``np.percentile(values, q)``, refusing a tail the sample cannot support."""
     best = supported_percentile(len(values), min_beyond)
     if best is None or best < q:
         raise ValueError(
             f"p{q:g} needs {min_beyond} samples beyond it; got {len(values)} samples"
         )
-    return percentile(values, q)
+    return float(np.percentile(values, q))
 
 
 def due_times(start: float, rate: float, count: int) -> List[float]:

@@ -1,15 +1,15 @@
-"""Record the golden cell quality the benchmark checks every run against.
+"""Record the cell quality the benchmark checks every run against.
 
-    python3 e2ebench/record_reference.py --seeds 32
+    python3 e2ebench/record_reference.py
 
-Writes ``e2ebench/reference.json``: ``{cell: {seed: [mrr, auc_pr]}}`` for
-each cell setting.  Re-record only when a change is meant to alter model
-quality, and say so in the change.
+Writes ``e2ebench/reference.json``: ``{cell: {dataset seed: [mrr, auc_pr]}}``
+for each cell setting and each dataset the runs cycle through.  Re-record
+only when a change is meant to alter model quality, and say so in the
+change.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -20,17 +20,14 @@ sys.path[:0] = [os.path.join(os.path.dirname(HERE), "src"), HERE]
 
 from harness import REFERENCE  # noqa: E402
 from tracing import Tracer  # noqa: E402
-from workloads import FULLY, SEMI, run_cell  # noqa: E402
+from workloads import DATASET_SEEDS, FULLY, SEMI, run_cell  # noqa: E402
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", type=int, default=32)
-    args = parser.parse_args()
     table = {}
     for spec in (SEMI, FULLY):
         table[spec.key] = {}
-        for seed in range(args.seeds):
+        for seed in DATASET_SEEDS:
             cell = run_cell(spec, seed, Tracer())
             table[spec.key][str(seed)] = [cell.mrr, cell.auc_pr]
             print(spec.key, seed, cell.mrr, cell.auc_pr, file=sys.stderr)

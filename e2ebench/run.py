@@ -3,7 +3,7 @@ served keep-alive load, with an optional traced run for per-layer numbers.
 
 Run from the repository root::
 
-    python3 e2ebench/run.py --workload cell-semi --seed 0 --seconds 40 --trace 0
+    python3 e2ebench/run.py --workload cell-semi --seed 0 --seconds 50 --trace 0
 
 The last line of standard output is one JSON object::
 

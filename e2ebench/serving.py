@@ -17,10 +17,11 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import Pipe
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+import hostspeed
 from benchstats import due_time_latency, due_times
 from tracing import Tracer
 
@@ -54,6 +55,8 @@ def _child_main(conn, model, graph, tracer: Tracer) -> None:
             if command == "dump":
                 conn.send((tracer.spans, dict(tracer.counters)))
                 tracer.reset()
+            if command == "probe":  # host speed where the server runs
+                conn.send(hostspeed.probe())
     except EOFError:
         pass  # the benchmark process is gone; shut down with it
     finally:
@@ -142,15 +145,21 @@ class Client:
     def __init__(self, port: int) -> None:
         self._conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
 
+    def get(self, path: str) -> Outcome:
+        return self._send("GET", path, None)
+
     def post(self, path: str, body: dict, due: Optional[float] = None) -> Outcome:
-        encoded = json.dumps(body)
+        return self._send("POST", path, body, due)
+
+    def _send(self, method: str, path: str, body: Optional[dict], due: Optional[float] = None) -> Outcome:
+        encoded = None if body is None else json.dumps(body)
         sent = time.perf_counter()
-        self._conn.request("POST", path, encoded, {"Content-Type": "application/json"})
+        self._conn.request(method, path, encoded, {"Content-Type": "application/json"})
         response = self._conn.getresponse()
         raw = response.read()
         done = time.perf_counter()
         return Outcome(
-            body, sent if due is None else due, sent, done, response.status,
+            body or {}, sent if due is None else due, sent, done, response.status,
             json.loads(raw) if raw else {},
         )
 
@@ -170,8 +179,11 @@ def connections(port: int, count: int):
 
 
 class TrafficMix:
-    """Seeded ``/score`` and ``/topk`` request bodies.
+    """``/score`` and ``/topk`` request bodies.
 
+    The bodies themselves are the same in every run, so the spread of
+    latency across runs is not the spread of which triples were drawn;
+    the run seed only orders each measured phase (:meth:`phase`).
     ``/score`` bodies draw a quarter of the time from a hot set of 16
     repeated triples (score-cache hits after the warm-up) and otherwise
     make fresh corruptions never sent before (misses).  Hits are much
@@ -188,7 +200,8 @@ class TrafficMix:
         self.graph = graph
         self.targets = list(targets)
         self.rid = 0
-        self._rng = np.random.default_rng((seed, 91))
+        self._rng = np.random.default_rng(91)
+        self._order = np.random.default_rng((seed, 91))
         order = self._rng.permutation(len(self.targets))
         self.hot = [tuple(int(x) for x in self.targets[i]) for i in order[: self.HOT_SIZE]]
         self._used = set(self.hot)
@@ -223,6 +236,11 @@ class TrafficMix:
             raise RuntimeError("no fresh (head, relation) pair left for /topk")
         head, relation = self._queries.pop()
         return {"head": head, "relation": relation, "k": k, "rid": self.next_rid()}
+
+    def phase(self, make: Callable[[], dict], count: int) -> List[dict]:
+        """The next ``count`` bodies from ``make``, in the run seed's order."""
+        bodies = [make() for _ in range(count)]
+        return [bodies[i] for i in self._order.permutation(count)]
 
 
 def open_loop(clients: List[Client], bodies: List[dict], rate: float) -> List[Outcome]:

@@ -5,8 +5,8 @@ the metric's bound from ``BENCHMARK.json``.
 
     python3 e2ebench/spread.py --seeds 0-9 [--workload cell-semi] [--log runs.jsonl]
 
-Run from the repository root.  Exits 1 if a spread (``setup_s`` excepted)
-exceeds its bound or a run reports a failed operation.
+Run from the repository root.  Exits 1 if a spread exceeds its bound or
+a run reports a failed operation.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def main() -> int:
         print(f"== {name} ({len(args.seeds)} seeds)")
         for metric, series in values.items():
             spread = quartile_spread(series)
-            within = spread <= bounds[metric] or metric == "setup_s"
+            within = spread <= bounds[metric]
             ok = ok and within
             print(
                 f"  {metric:24s} median {statistics.median(series):12.5g}  "

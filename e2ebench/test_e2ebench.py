@@ -1,5 +1,6 @@
 """The benchmark's own metric math: percentile choice, due-time latency,
-self-time subtraction, and the tracer's wrap/unwrap bookkeeping."""
+self-time subtraction, host-speed scaling, and the tracer's wrap/unwrap
+bookkeeping."""
 
 import statistics
 import types
@@ -7,10 +8,10 @@ import types
 import numpy as np
 import pytest
 
+import hostspeed
 from benchstats import (
     due_time_latency,
     due_times,
-    percentile,
     quartile_spread,
     require_percentile,
     self_times,
@@ -32,13 +33,6 @@ def test_require_percentile_refuses_an_unsupported_tail():
     with pytest.raises(ValueError, match="p90"):
         require_percentile(values, 90)
     assert require_percentile(list(range(100)), 90) == pytest.approx(np.percentile(range(100), 90))
-
-
-def test_percentile_matches_numpy_linear_interpolation():
-    rng = np.random.default_rng(3)
-    values = list(rng.random(37))
-    for q in (0, 10, 50, 90, 100):
-        assert percentile(values, q) == pytest.approx(np.percentile(values, q))
 
 
 def test_due_time_latency_charges_a_stall_to_the_requests_behind_it():
@@ -72,6 +66,15 @@ def test_self_time_subtracts_the_union_of_children_clipped_to_the_parent():
     assert selfs[2] == pytest.approx(2.0 - 1.0)
     assert selfs[3] == pytest.approx(3.0)
     assert selfs[5] == pytest.approx(1.0)
+
+
+def test_host_speed_factor_scales_to_the_reference_probe_time():
+    ref = hostspeed.REFERENCE_S
+    assert hostspeed.factor([ref]) == pytest.approx(1.0)
+    # A host at half speed doubles the probe: measured time is halved.
+    assert hostspeed.factor([2 * ref]) == pytest.approx(0.5)
+    # Probes on either side combine as a geometric mean of speeds.
+    assert hostspeed.factor([ref, 4 * ref]) == pytest.approx(0.5)
 
 
 def test_quartile_spread_is_iqr_over_median():

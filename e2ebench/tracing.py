@@ -18,7 +18,9 @@ import time
 from collections import defaultdict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from benchstats import metric, percentile, self_times
+import numpy as np
+
+from benchstats import metric, require_percentile, self_times
 
 #: One recorded span: (id, parent id, name, start, end, request id).
 Span = Tuple[int, Optional[int], str, float, float, Optional[int]]
@@ -83,29 +85,26 @@ class Tracer:
         self,
         owner: Any,
         attr: str,
-        name: Optional[str],
+        name: str,
         after: Optional[Callable[["Tracer", tuple, Any], None]] = None,
         rid_of: Optional[Callable[[tuple], Optional[int]]] = None,
     ) -> None:
         """Replace ``owner.attr`` with a recording wrapper.
 
-        ``name`` None records counters only (``after`` sees the call's
-        arguments and result).  Methods are wrapped on the class that
-        defines them, so a refactor that moves one fails here loudly.
+        ``after`` sees the call's arguments and result, to record counters.
+        Methods are wrapped on the class that defines them, so a refactor
+        that moves one fails here loudly.
         """
         original = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
         tracer = self
 
         @functools.wraps(original)
         def wrapper(*args, **kwargs):
-            if name is None:
+            token = tracer.begin(name, rid_of(args) if rid_of else None)
+            try:
                 result = original(*args, **kwargs)
-            else:
-                token = tracer.begin(name, rid_of(args) if rid_of else None)
-                try:
-                    result = original(*args, **kwargs)
-                finally:
-                    tracer.end(token)
+            finally:
+                tracer.end(token)
             if after is not None:
                 after(tracer, args, result)
             return result
@@ -152,12 +151,6 @@ def _after_step(tracer: Tracer, args: tuple, result: Any) -> None:
     tracer.count("train.steps")
 
 
-def _after_cache_get(tracer: Tracer, args: tuple, result: Any) -> None:
-    tracer.count("serve.cache_lookups")
-    if result is not None:
-        tracer.count("serve.cache_hits")
-
-
 def _handle_rid(args: tuple) -> Optional[int]:
     # ServingApp.handle(self, method, path, payload): the load generator
     # puts its request id in the JSON body, which the server ignores.
@@ -178,7 +171,6 @@ def layer_patches() -> list:
     from repro.autograd.optim import Adam
     from repro.autograd.tensor import Tensor
     from repro.core.base import SubgraphScoringModel
-    from repro.serve.cache import ScoreCache
     from repro.serve.scheduler import MicroBatchScheduler
     from repro.serve.server import ServingApp
     from repro.serve.session import InferenceSession
@@ -206,7 +198,6 @@ def layer_patches() -> list:
         (ServingApp, "handle", "serve.handle", None, _handle_rid),
         (MicroBatchScheduler, "score_sync", "serve.score_sync", None, None),
         (InferenceSession, "score", "serve.session_score", None, None),
-        (ScoreCache, "get", None, _after_cache_get, None),
     ]
 
 
@@ -227,9 +218,12 @@ def layer_metrics(
     traced_cells,
     score_outcomes,
     topk_outcomes,
+    latency,
     lateness,
     failed_requests: int,
     attempted_requests: int,
+    server_stats: Tuple[dict, dict],
+    server_rss_mb: float,
 ) -> Dict[str, Dict[str, object]]:
     """Per-layer metrics of a traced run.
 
@@ -237,7 +231,10 @@ def layer_metrics(
     spans under each ``cell`` root.  Serving layers are mean milliseconds
     per ``/score`` request (means, so handle + http adds up to the client's
     latency), from the server's spans joined to the generator's requests
-    by request id.  A layer the workload never calls reads 0.
+    by request id.  Score-cache and batching ratios are deltas of the
+    server's own ``GET /stats`` counters across the ``/score`` phases
+    (``server_stats`` = before, after).  A layer the workload never calls
+    reads 0.
     """
     spans = tracer.spans
     by_id = {span[0]: span for span in spans}
@@ -260,7 +257,7 @@ def layer_metrics(
         for key, value in cell.counters.items():
             counts[key] += value
 
-    child_spans, child_counters = child_trace
+    child_spans, _child_counters = child_trace
     handle = {s[5]: s[4] - s[3] for s in child_spans if s[2] == "serve.handle" and s[5] is not None}
     batches = sorted((s[3], s[4]) for s in child_spans if s[2] == "serve.session_score")
     served = [o for o in score_outcomes if o.body.get("rid") in handle]
@@ -276,7 +273,6 @@ def layer_metrics(
             start, end = max(inside, key=lambda b: b[1])
             queue_wait.append((s[4] - s[3]) - (end - start))
             session_score.append(end - start)
-    syncs = sum(1 for s in child_spans if s[2] == "serve.score_sync")
 
     requests = list(score_outcomes) + list(topk_outcomes)
     request_s = sum(o.done - o.sent for o in requests)
@@ -287,7 +283,14 @@ def layer_metrics(
     subgraphs = counts["subgraph.subgraphs"]
     keys = counts["core.prepared_keys"]
     fused = counts["core.fused_calls"]
-    lookups = child_counters.get("serve.cache_lookups", 0.0)
+    before, after = server_stats
+
+    def delta(part: str, key: str) -> float:
+        return float(after[part][key] - before[part][key])
+
+    hits = delta("cache", "hits")
+    lookups = hits + delta("cache", "misses")
+    batched = delta("scheduler", "batches")
 
     return {
         "kg.build_s": metric(_median(builds), "s"),
@@ -317,10 +320,12 @@ def layer_metrics(
         "serve.http_ms": metric(1e3 * _mean((o.done - o.sent) - handle[o.body["rid"]] for o in served), "ms"),
         "serve.queue_wait_ms": metric(1e3 * _mean(queue_wait), "ms"),
         "serve.session_score_ms": metric(1e3 * _mean(session_score), "ms"),
-        "serve.batch_mean": metric(syncs / len(batches) if batches else 0.0, "count"),
-        "serve.cache_hit_ratio": metric(child_counters.get("serve.cache_hits", 0.0) / lookups if lookups else 0.0, "ratio"),
+        "serve.batch_mean": metric(delta("scheduler", "requests") / batched if batched else 0.0, "count"),
+        "serve.cache_hit_ratio": metric(hits / lookups if lookups else 0.0, "ratio"),
+        "serve.rss_mb": metric(server_rss_mb, "MB"),
         "serve.failed": metric(failed_requests / attempted_requests if attempted_requests else 0.0, "ratio"),
-        "serve.lateness_p90_ms": metric(1e3 * percentile(lateness, 90), "ms"),
+        "serve.score_p90_ms": metric(1e3 * require_percentile(latency, 90), "ms"),
+        "serve.lateness_p90_ms": metric(1e3 * np.percentile(lateness, 90), "ms"),
         "trace.cells": metric(len(cell_roots), "count"),
         "trace.requests": metric(len(requests), "count"),
         "trace.attributed_pct": metric(100.0 * (attributed_s + handled_s) / (cell_s + request_s), "%"),
