@@ -11,7 +11,7 @@ Measures steady-state online query throughput (queries/sec) through the
 Both arms share one warmed :class:`InferenceSession` (score cache
 disabled, sample caches warm — the pinned-graph steady state a serving
 process runs in), so the measured difference is pure scoring-path cost:
-per-call overhead plus per-sample vs fused disjoint-union forwards.
+per-call overhead, paid per request or once per coalesced fused forward.
 The gate asserts micro-batching reaches ``REPRO_BENCH_MIN_SERVING_SPEEDUP``
 (default 2) times the sequential throughput.
 """

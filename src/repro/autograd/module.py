@@ -2,11 +2,17 @@
 
 A :class:`Module` is a tree of submodules and :class:`Parameter` leaves.
 ``parameters()`` walks the tree; optimizers consume that flat list.
+
+Only *tree attributes* are walked: a :class:`Module` or :class:`Parameter`,
+or a list/tuple/dict holding at least one when it is assigned.  Other
+attributes — notably the per-model sample and merge caches, which hold
+thousands of entries after training — are never iterated, so a mode
+switch or a parameter walk costs the same however warm the caches are.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Any, Iterator, Tuple
 
 import numpy as np
 
@@ -20,15 +26,50 @@ class Parameter(Tensor):
         super().__init__(data, requires_grad=True, name=name)
 
 
+def _is_node(value: Any) -> bool:
+    return isinstance(value, (Module, Parameter))
+
+
+def _holds_tree(value: Any) -> bool:
+    """Whether an attribute value belongs to the module tree."""
+    if _is_node(value):
+        return True
+    if isinstance(value, (list, tuple)):
+        return any(_is_node(item) for item in value)
+    if isinstance(value, dict):
+        return any(_is_node(item) for item in value.values())
+    return False
+
+
 class Module:
     """Base class for all neural network components.
 
     Subclasses assign :class:`Parameter` and :class:`Module` attributes in
     ``__init__`` and implement ``forward``.  Instances are callable.
+
+    A list/tuple/dict attribute joins the tree when it holds a module or
+    parameter at assignment; one filled afterwards must be registered with
+    :meth:`_register_tree_attr` (as :class:`ModuleList` does).
     """
 
     def __init__(self) -> None:
         self.training = True
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        object.__setattr__(self, name, value)
+        tree = self.__dict__.setdefault("_tree_attrs", set())
+        if _holds_tree(value):
+            tree.add(name)
+        else:
+            tree.discard(name)
+
+    def _register_tree_attr(self, name: str) -> None:
+        self.__dict__.setdefault("_tree_attrs", set()).add(name)
+
+    def _tree_items(self) -> Iterator[Tuple[str, Any]]:
+        """Tree attributes as ``(name, value)``, in assignment order."""
+        tree = self.__dict__.get("_tree_attrs", ())
+        return ((attr, value) for attr, value in vars(self).items() if attr in tree)
 
     # ------------------------------------------------------------------
     def forward(self, *args, **kwargs):
@@ -40,7 +81,7 @@ class Module:
     # ------------------------------------------------------------------
     def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Parameter]]:
         """Yield ``(dotted_name, parameter)`` pairs over the module tree."""
-        for attr, value in vars(self).items():
+        for attr, value in self._tree_items():
             name = f"{prefix}.{attr}" if prefix else attr
             if isinstance(value, Parameter):
                 yield name, value
@@ -82,7 +123,7 @@ class Module:
 
     def _set_mode(self, training: bool) -> None:
         self.training = training
-        for value in vars(self).values():
+        for _attr, value in self._tree_items():
             if isinstance(value, Module):
                 value._set_mode(training)
             elif isinstance(value, (list, tuple)):
@@ -123,6 +164,7 @@ class ModuleList(Module):
     def __init__(self, modules=()) -> None:
         super().__init__()
         self.items = list(modules)
+        self._register_tree_attr("items")  # filled later by append()
 
     def append(self, module: Module) -> None:
         self.items.append(module)

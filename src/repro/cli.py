@@ -109,10 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(1 = in-process scoring)",
     )
     serve.add_argument(
-        "--no-fused", action="store_true",
-        help="score through the per-sample path instead of the fused batch forward",
-    )
-    serve.add_argument(
         "--max-queue-depth", type=int, default=256,
         help="admission watermark: more waiting requests than this are shed "
         "with HTTP 503 + Retry-After (0 = unbounded)",
@@ -250,7 +246,6 @@ def cmd_serve(args: argparse.Namespace) -> str:
         max_batch_size=args.max_batch_size,
         max_wait_ms=args.max_wait_ms,
         cache_size=args.cache_size,
-        use_fused=not args.no_fused,
         workers=args.workers,
         max_queue_depth=args.max_queue_depth or None,
         retry_after_s=args.retry_after_s,
@@ -269,8 +264,7 @@ def cmd_serve(args: argparse.Namespace) -> str:
         f"[{summary['graph']['fingerprint'][:12]}]",
         f"  micro-batching: max_batch_size={config.max_batch_size} "
         f"max_wait_ms={config.max_wait_ms}",
-        f"  score cache: {config.cache_size} entries, "
-        f"fused scoring: {config.use_fused}",
+        f"  score cache: {config.cache_size} entries",
         f"  scoring workers: {config.workers}",
         f"  admission: max_queue_depth={config.max_queue_depth} "
         f"retry_after_s={config.retry_after_s} "

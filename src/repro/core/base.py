@@ -8,10 +8,18 @@ them a common API:
   (extraction, transformation, plan compilation), memoised per
   ``(graph, triple)`` because training revisits the same positives across
   epochs;
-* ``score_sample(sample)``        — differentiable scoring of one sample;
-* ``score_batch(graph, triples)`` — stacked scores as a 1-D tensor;
-* ``score_triples(graph, triples)`` — plain ``np.ndarray`` scores in eval
-  mode (the evaluation protocols' entry point).
+* ``score_batch_fused(graph, triples)`` — differentiable ``(n, 1)``
+  scores through the model's batched forward (training's entry point);
+* ``score_triples(graph, triples)`` — the same forward as plain
+  ``np.ndarray`` scores in eval mode under ``no_grad`` (the one scoring
+  path of evaluation, parallel evaluation and serving).
+
+RMPI overrides ``score_batch_fused`` with one merged message-passing pass
+over the disjoint union of the batch's plans; the other models fall back to
+``score_batch``, one ``score_sample`` forward per prepared sample.  The
+fused forward's round-off depends on batch composition, so callers that
+promise bitwise parity (serial vs parallel evaluation) score identical
+batches on both sides.
 """
 
 from __future__ import annotations
@@ -227,35 +235,40 @@ class SubgraphScoringModel(Module):
     def score_batch_fused(
         self, graph: KnowledgeGraph, triples: Sequence[Triple]
     ) -> Tensor:
-        """Differentiable batched scores through the fastest available path.
+        """Differentiable batched scores, shape ``(n, 1)``.
 
         The generic fallback is :meth:`score_batch` — batched (memoised)
-        prepare followed by per-sample scoring — so every model supports
-        fused training (``TrainingConfig.use_fused_scoring``, on by
-        default).  Models with a true disjoint-union fused forward (RMPI)
-        override this with a single merged message-passing pass.
+        prepare followed by per-sample scoring.  Models with a true
+        disjoint-union fused forward (RMPI) override this with a single
+        merged message-passing pass.
         """
         return self.score_batch(graph, triples)
 
     def score_triples(self, graph: KnowledgeGraph, triples: Sequence[Triple]) -> np.ndarray:
-        """Numpy scores in eval mode (no dropout, no graph recording).
+        """Numpy scores of :meth:`score_batch_fused` in eval mode (no
+        dropout) under ``no_grad`` (no backward graph).
 
-        This is the evaluation protocols' entry point: the whole candidate
-        list of a ranking query arrives in one call, so extraction-backed
-        models batch it through :meth:`prepared_many`.
+        The single scoring entry point of both evaluation protocols, the
+        parallel evaluator and serving: a whole candidate list or coalesced
+        micro-batch arrives in one call and runs as one batched forward.
+        An empty batch returns an empty array.
         """
         triples = list(triples)
         self.scoring_stats.record(len(triples))
+        if not triples:
+            return np.empty(0, dtype=SCORE_DTYPE)
         was_training = self.training
         self.eval()
         try:
-            # No-grad: eval scoring builds no backward graph at all.
             with no_grad():
-                values = [
-                    float(self.score_sample(sample).data.reshape(-1)[0])
-                    for sample in self.prepared_many(graph, triples)
-                ]
+                scores = self.score_batch_fused(graph, triples)
         finally:
             if was_training:
                 self.train()
-        return np.asarray(values, dtype=SCORE_DTYPE)
+        return np.asarray(scores.data, dtype=SCORE_DTYPE).reshape(-1)
+
+    def score_triples_fused(
+        self, graph: KnowledgeGraph, triples: Sequence[Triple]
+    ) -> np.ndarray:
+        """Alias of :meth:`score_triples`, kept for existing callers."""
+        return self.score_triples(graph, triples)

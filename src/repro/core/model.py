@@ -8,7 +8,8 @@ Scoring pipeline for a target triple ``(u, r_t, v)``:
    message passing layers (§III-C), with target-aware attention when the TA
    variant is on;
 3. (NE variant) aggregate the disclosing subgraph's one-hop relational
-   neighborhood (§III-F);
+   neighborhood (§III-F), i.e. the relations of every edge touching the
+   target head or tail;
 4. score via eq. 11, or the fusion heads eq. 15/16.
 
 Unseen relations need no special casing at inference: their initial
@@ -26,8 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.autograd import ModuleList, Tensor, no_grad, ops
-from repro.autograd.engine import SCORE_DTYPE
+from repro.autograd import ModuleList, Tensor
 from repro.autograd.segment import gather
 from repro.core.base import SubgraphScoringModel
 from repro.core.config import RMPIConfig
@@ -41,7 +41,7 @@ from repro.subgraph.extraction import extract_subgraphs_many
 from repro.subgraph.labeling import encode_labels, label_feature_dim
 from repro.subgraph.linegraph import (
     build_relational_graphs_many,
-    target_one_hop_relations,
+    disclosing_relations_many,
 )
 from repro.subgraph.pruning import MessagePlan, build_message_plans_many
 
@@ -121,35 +121,32 @@ class RMPI(SubgraphScoringModel):
     def prepare_many(self, graph: KnowledgeGraph, triples) -> list:
         """Batched sample construction: shared numpy passes end to end.
 
-        Enclosing (and, for the NE variant, disclosing) subgraphs for the
-        whole batch come from :func:`extract_subgraphs_many`, so the 50
-        candidates of one ranking query share their K-hop frontier BFS; the
-        relation-view transforms and Algorithm-1 plan compilations likewise
-        run through the batched :func:`build_relational_graphs_many` /
-        :func:`build_message_plans_many` kernels in one pass each.
+        Enclosing subgraphs for the whole batch come from
+        :func:`extract_subgraphs_many`, so the candidates of one ranking
+        query share their K-hop frontier BFS; the relation-view transforms
+        and Algorithm-1 plan compilations likewise run through the batched
+        :func:`build_relational_graphs_many` /
+        :func:`build_message_plans_many` kernels in one pass each.  The NE
+        variant's neighborhood (eq. 13) only reads edges touching the
+        target head or tail, so :func:`disclosing_relations_many` gathers
+        them straight off the graph's CSR, in one pass for the batch,
+        instead of extracting the whole K-hop disclosing (union) subgraph.
         """
         triples = [tuple(int(x) for x in triple) for triple in triples]
         enclosings = extract_subgraphs_many(
             graph, triples, self.config.num_hops, kind="enclosing"
         )
-        disclosings = (
-            extract_subgraphs_many(
-                graph, triples, self.config.num_hops, kind="disclosing"
-            )
+        relationals = build_relational_graphs_many(enclosings)
+        plans = build_message_plans_many(relationals, self.config.num_layers)
+        neighborhoods = (
+            disclosing_relations_many(graph, triples)
             if self.config.use_disclosing
             else [None] * len(triples)
         )
-        relationals = build_relational_graphs_many(enclosings)
-        plans = build_message_plans_many(relationals, self.config.num_layers)
         samples: list = []
-        for triple, enclosing, disclosing, plan in zip(
-            triples, enclosings, disclosings, plans
+        for triple, enclosing, plan, neighbors in zip(
+            triples, enclosings, plans, neighborhoods
         ):
-            disclosing_relations: Optional[np.ndarray] = None
-            if disclosing is not None:
-                disclosing_relations = np.asarray(
-                    target_one_hop_relations(disclosing), dtype=np.int64
-                )
             entity_clue: Optional[np.ndarray] = None
             if self.config.use_entity_clues:
                 # Entity-side evidence (future-work item 2): mean double-radius
@@ -161,7 +158,7 @@ class RMPI(SubgraphScoringModel):
                 RMPISample(
                     triple=triple,
                     plan=plan,
-                    disclosing_relations=disclosing_relations,
+                    disclosing_relations=neighbors,
                     enclosing_empty=enclosing.is_empty,
                     entity_clue=entity_clue,
                 )
@@ -324,29 +321,6 @@ class RMPI(SubgraphScoringModel):
     def score_batch_fused(self, graph: KnowledgeGraph, triples) -> Tensor:
         """Prepare (memoised, batch-extracted) and score in one fused pass."""
         return self.score_samples_batched(self.prepared_many(graph, list(triples)))
-
-    def score_triples_fused(self, graph: KnowledgeGraph, triples) -> np.ndarray:
-        """Numpy scores via the fused disjoint-union forward (eval mode).
-
-        The serving fast path: equivalent to :meth:`score_triples` (within
-        float round-off, see ``tests/test_batching.py``) but runs the whole
-        batch through one merged message-passing pass instead of one tiny
-        forward per sample, amortising numpy dispatch overhead — which is
-        what makes coalescing concurrent queries into micro-batches pay off.
-        """
-        triples = list(triples)
-        self.scoring_stats.record(len(triples))
-        was_training = self.training
-        self.eval()
-        try:
-            # No-grad: the serving/eval forward allocates zero backward
-            # closures (see repro.autograd.engine).
-            with no_grad():
-                scores = self.score_batch_fused(graph, triples)
-        finally:
-            if was_training:
-                self.train()
-        return np.asarray(scores.data, dtype=SCORE_DTYPE).reshape(-1)
 
     def clear_cache(self) -> None:
         super().clear_cache()

@@ -13,7 +13,18 @@ The ranking loop hands each query's full candidate list (truth + negatives)
 to ``score_triples`` in one call; subgraph-scoring models batch it through
 ``prepare_many``, so the vectorized extraction engine shares each query's
 K-hop frontier BFS across all ~50 candidates (they differ only in the
-corrupted side).
+corrupted side), and score it in one batched forward.
+
+**Parity contract.** The fused forward's round-off depends on which
+triples share a batch, so every batch is fixed by the protocol alone: one
+per ranking query, and classification scores its positives and negatives
+in consecutive chunks of :data:`CLASSIFICATION_CHUNK`.  Serial and
+parallel evaluation therefore score identical batches and agree bitwise
+for any worker count.  Against the per-sample ``score_sample`` oracle the
+scores agree within float round-off; ranks break ties by the mean
+(:func:`~repro.eval.metrics.rank_of_first`), so each candidate scored
+within round-off of the truth can move the truth's rank by at most one
+place.
 """
 
 from __future__ import annotations
@@ -24,12 +35,28 @@ from typing import Dict, List, Optional, Protocol, Sequence, Set
 import numpy as np
 
 from repro.autograd import no_grad
+from repro.autograd.engine import SCORE_DTYPE
 from repro.eval.metrics import average_precision, hits_at, mrr, rank_of_first
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.sampling import negative_triples, ranking_candidates
 from repro.kg.triples import Triple, TripleSet
 from repro.obs import get_registry, span
 from repro.utils.seeding import seeded_rng
+
+
+#: Classification batch size: positives and negatives are each scored in
+#: consecutive chunks of this many triples, serially and in parallel alike.
+CLASSIFICATION_CHUNK = 64
+
+
+def classification_chunks(triples: Sequence[Triple]) -> List[List[Triple]]:
+    """``triples`` cut into consecutive :data:`CLASSIFICATION_CHUNK`-sized
+    scoring batches (the last may be shorter)."""
+    triples = list(triples)
+    return [
+        triples[start : start + CLASSIFICATION_CHUNK]
+        for start in range(0, len(triples), CLASSIFICATION_CHUNK)
+    ]
 
 
 class TripleScorer(Protocol):
@@ -145,8 +172,8 @@ def evaluate_triple_classification(
     """AUC-PR with one sampled negative per positive (paper protocol).
 
     ``pool`` (a :class:`repro.parallel.pool.WorkerPool` whose context pins
-    this model and graph) shards the scoring across worker processes;
-    per-sample scoring is independent of batch composition, so the metric
+    this model and graph) fans the scoring chunks across worker processes;
+    both paths score the same :func:`classification_chunks`, so the metric
     is bitwise identical to the serial run.
     """
     positives = list(targets)
@@ -171,14 +198,27 @@ def evaluate_triple_classification(
         # construction for every scorer (subgraph models also no-grad
         # internally; this covers rule/embedding scorers uniformly).
         with no_grad():
-            pos_scores = model.score_triples(graph, positives)
-            neg_scores = model.score_triples(graph, negatives)
+            pos_scores = score_in_chunks(model, graph, positives)
+            neg_scores = score_in_chunks(model, graph, negatives)
     labels = [1] * len(positives) + [0] * len(negatives)
     scores = np.concatenate([pos_scores, neg_scores])
     return ClassificationResult(
         auc_pr=average_precision(labels, scores) * 100.0,
         num_positives=len(positives),
     )
+
+
+def score_in_chunks(
+    model: TripleScorer, graph: KnowledgeGraph, triples: Sequence[Triple]
+) -> np.ndarray:
+    """Classification scores of ``triples``, one ``score_triples`` call per
+    :func:`classification_chunks` chunk (the serial half of the parity
+    contract; :func:`repro.parallel.evaluation.score_triples_sharded` is
+    the parallel half)."""
+    chunks = classification_chunks(triples)
+    if not chunks:
+        return np.empty(0, dtype=SCORE_DTYPE)
+    return np.concatenate([model.score_triples(graph, chunk) for chunk in chunks])
 
 
 def build_ranking_queries(

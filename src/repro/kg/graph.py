@@ -50,6 +50,15 @@ _EMPTY_IDS = np.empty(0, dtype=np.int64)
 _EMPTY_IDS.setflags(write=False)
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` for a freshly gathered int64 array, sorting it in
+    place (about half ``np.unique``'s cost on the short arrays here)."""
+    if values.size < 2:
+        return values
+    values.sort()
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
 class NeighborhoodCache:
     """A bounded LRU cache of K-hop neighborhood frontiers.
 
@@ -418,26 +427,48 @@ class KnowledgeGraph:
         return cached
 
     # ------------------------------------------------------------------
+    def incident_edge_ids_grouped(
+        self, groups: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Edges touching any entity of each row of the ``(n, k)`` id array
+        ``groups``, as parallel ``(row, edge id)`` arrays sorted by row then
+        edge id, each edge once per row.  Out-of-range ids raise
+        ``ValueError``."""
+        self._ensure_csr()
+        ids = np.asarray(groups, dtype=np.int64)
+        if ids.size == 0:
+            return _EMPTY_IDS, _EMPTY_IDS
+        if int(ids.min()) < 0 or int(ids.max()) >= self.num_entities:
+            bad = int(ids.min()) if int(ids.min()) < 0 else int(ids.max())
+            raise ValueError(
+                f"entity id {bad} out of range [0, {self.num_entities})"
+            )
+        nodes = ids.reshape(-1)
+        rows = np.repeat(np.arange(ids.shape[0], dtype=np.int64), ids.shape[1])
+        counts = self._csr_indptr[nodes + 1] - self._csr_indptr[nodes]
+        # One (row, edge id) key per adjacency entry, sorted and
+        # de-duplicated in a single pass.
+        stride = max(len(self.triples), 1)
+        keys = np.repeat(rows, counts) * stride + self._gather_csr(
+            nodes, self._csr_edge_ids
+        )
+        keys = _sorted_unique(keys)
+        return keys // stride, keys % stride
+
     def induced_edge_id_array(self, nodes: np.ndarray) -> np.ndarray:
         """Sorted edge ids with head AND tail in ``nodes`` (sorted, valid)."""
         self._ensure_csr()
         nodes = np.asarray(nodes, dtype=np.int64)
         if nodes.size == 0:
             return _EMPTY_IDS
+        # Each non-self-loop edge is reached from both endpoints.
+        candidates = _sorted_unique(self._gather_csr(nodes, self._csr_edge_ids))
+        if candidates.size == 0:
+            return _EMPTY_IDS
         if self._entity_scratch is None:
             self._entity_scratch = np.zeros(self.num_entities, dtype=bool)
         mask = self._entity_scratch
         mask[nodes] = True
-        candidates = self._gather_csr(nodes, self._csr_edge_ids)
-        if candidates.size == 0:
-            mask[nodes] = False
-            return _EMPTY_IDS
-        candidates.sort()
-        if candidates.size > 1:
-            # Drop the duplicate entry each non-self-loop edge contributes.
-            candidates = candidates[
-                np.concatenate(([True], candidates[1:] != candidates[:-1]))
-            ]
         array = self.triples.array
         keep = mask[array[candidates, 0]] & mask[array[candidates, 2]]
         mask[nodes] = False

@@ -6,15 +6,17 @@ The entity-prediction protocol is two phases with very different needs:
   in protocol order — it stays in the parent
   (:func:`repro.eval.protocol.build_ranking_queries`, shared verbatim with
   the serial path, so the candidate lists are identical by construction);
-* **scoring** is pure per-query work — each query's candidate list goes
+* **scoring** is pure per-batch work — each query's candidate list goes
   through ``model.score_triples`` exactly as the serial loop would, just
   on another rank.
 
-Because every per-query score array is produced by the same code on the
-same inputs, the merged ranks — and therefore MRR / Hits@k — are
-**bitwise identical** to the serial protocol, not merely close.  The same
-argument covers triple classification (per-sample scoring is independent
-of batch composition on the non-fused path).
+The fused forward's round-off depends on batch composition, so the unit
+shipped to a worker is always a whole protocol batch: one ranking query,
+or one :func:`~repro.eval.protocol.classification_chunks` chunk of
+classification triples.  Every score array is then produced by the same
+code on the same batch, and the merged ranks — and therefore MRR / Hits@k
+and AUC-PR — are **bitwise identical** to the serial protocol, not merely
+close.
 """
 
 from __future__ import annotations
@@ -80,21 +82,17 @@ def score_query_lists(
 def score_triples_sharded(
     pool: WorkerPool, triples: Sequence[Triple]
 ) -> np.ndarray:
-    """One flat score array for ``triples``, sharded across ranks.
+    """One flat score array for ``triples``: their
+    :func:`~repro.eval.protocol.classification_chunks` are scored across
+    ranks, so the result is bitwise identical to the serial protocol's
+    chunked scoring at any worker count."""
+    from repro.eval.protocol import classification_chunks
 
-    Per-sample scoring is independent of batch composition, so this is
-    bitwise identical to one serial ``model.score_triples`` call.
-    """
-    triples = list(triples)
-    if not triples:
+    per_chunk = score_query_lists(pool, classification_chunks(triples))
+    if not per_chunk:
         return np.empty(0, dtype=SCORE_DTYPE)
-    payloads = []
-    for shard in shard_list(triples, pool.workers):
-        flat, lengths = pack_query_lists([shard])
-        payloads.append({"triples": flat, "lengths": lengths})
-    per_shard = merge_shards(pool.run("score_queries", payloads))
     return np.concatenate(
-        [np.asarray(scores, dtype=SCORE_DTYPE).reshape(-1) for scores in per_shard]
+        [np.asarray(scores, dtype=SCORE_DTYPE).reshape(-1) for scores in per_chunk]
     )
 
 

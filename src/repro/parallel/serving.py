@@ -3,7 +3,7 @@
 The micro-batching scheduler coalesces concurrent requests into one
 batched session ``score`` call; with a scoring pool attached, the session
 shards that batch's cache misses across worker processes, each scoring its
-shard through the same (fused, no-grad) path the serial session uses.
+shard through the same ``score_triples`` path the serial session uses.
 
 Workers inherit the model registry and the pinned (warmed) graph at fork
 time.  Models registered *after* the pool was created only exist in the
@@ -40,21 +40,16 @@ def _serve_score_op(state: Dict[str, Any], payload: Dict[str, Any]) -> np.ndarra
     registry = context["registry"]
     graph: KnowledgeGraph = context["graph"]
     entry = registry.resolve(payload["model"])
-    scorer = (
-        entry.model.score_triples_fused
-        if context.get("use_fused", True)
-        and hasattr(entry.model, "score_triples_fused")
-        else entry.model.score_triples
-    )
     with no_grad():
-        return np.asarray(scorer(graph, triples), dtype=SCORE_DTYPE).reshape(-1)
+        return np.asarray(
+            entry.model.score_triples(graph, triples), dtype=SCORE_DTYPE
+        ).reshape(-1)
 
 
 def scoring_pool(
     registry,
     graph: KnowledgeGraph,
     workers: int,
-    use_fused: bool = True,
     seed: int = 0,
     task_deadline_s: Optional[float] = None,
     max_task_retries: int = 2,
@@ -70,7 +65,7 @@ def scoring_pool(
     graph.warm()  # children share the CSR/fingerprint pages copy-on-write
     return WorkerPool(
         workers,
-        context={"registry": registry, "graph": graph, "use_fused": use_fused},
+        context={"registry": registry, "graph": graph},
         seed=seed,
         task_deadline_s=task_deadline_s,
         max_task_retries=max_task_retries,

@@ -93,7 +93,7 @@ def _train_step_op(state: Dict[str, Any], payload: Dict[str, Any]) -> Dict[str, 
         model.load_state_dict(payload["params"])
     model.train()
     model.zero_grad()
-    score_fn = model.score_batch_fused if payload["use_fused"] else model.score_batch
+    score_fn = model.score_batch_fused
     if payload["one_pass"]:
         scores = score_fn(graph, list(positives) + list(negatives))
         pos_scores = scores[: len(positives)]
@@ -250,7 +250,6 @@ class DataParallelTrainer(Trainer):
                 positives=pack_triples(pos_shard),
                 negatives=pack_triples(neg_shard),
                 margin=config.margin,
-                use_fused=config.use_fused_scoring,
                 one_pass=config.one_pass_step,
             )
             for pos_shard, neg_shard in zip(pos_shards, neg_shards)
@@ -271,6 +270,6 @@ class DataParallelTrainer(Trainer):
         self.optimizer.zero_grad()
         for name, param in self.model.named_parameters():
             param.grad = grads.get(name)
-        clip_grad_norm(self.model.parameters(), config.clip_norm)
+        clip_grad_norm(self.optimizer.parameters, config.clip_norm)
         self.optimizer.step()
         return loss

@@ -54,7 +54,6 @@ class ServingConfig:
     max_batch_size: int = 64
     max_wait_ms: float = 2.0
     cache_size: int = DEFAULT_SCORE_CACHE_SIZE
-    use_fused: bool = True
     request_timeout_s: float = 60.0
     # Worker-pool scoring backend (repro.parallel): >1 shards each
     # coalesced micro-batch's cache misses across forked scoring workers.
@@ -121,7 +120,6 @@ class ServingApp:
             graph,
             default_model=self.config.default_model,
             cache_size=self.config.cache_size,
-            use_fused=self.config.use_fused,
         )
         self.scheduler = MicroBatchScheduler(
             self.session,
@@ -137,12 +135,7 @@ class ServingApp:
             from repro.parallel.serving import scoring_pool
 
             self.session.attach_scoring_pool(
-                scoring_pool(
-                    registry,
-                    self.session.graph,
-                    self.config.workers,
-                    use_fused=self.config.use_fused,
-                )
+                scoring_pool(registry, self.session.graph, self.config.workers)
             )
 
     # ------------------------------------------------------------------
@@ -359,6 +352,10 @@ class _Handler(BaseHTTPRequestHandler):
     app: ServingApp  # set by ServingServer on the handler class
 
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as separate writes; with Nagle's algorithm on,
+    # the body of every keep-alive response waits for the client's delayed
+    # ACK of the headers (~40 ms on Linux).  TCP_NODELAY sends both at once.
+    disable_nagle_algorithm = True
 
     def _respond(
         self,

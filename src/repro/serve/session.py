@@ -9,13 +9,11 @@ pool and known-fact set, and fronts every model with a shared bounded LRU
 ``(model_key, graph_fingerprint, triple)`` — swapping the graph via
 :meth:`set_graph` therefore invalidates all cached scores.
 
-Scoring semantics match the offline evaluation protocol exactly: with
-``use_fused=False`` a query takes the very same
-``model.score_triples`` path as
-:func:`repro.eval.protocol.evaluate_entity_prediction`; the default
-``use_fused=True`` routes batches through the model's fused
-disjoint-union forward when it has one (``score_triples_fused``),
-equivalent within float round-off but much faster on coalesced batches.
+Scoring takes the offline evaluation protocol's own entry point,
+``model.score_triples`` (RMPI's fused disjoint-union forward), on each
+coalesced batch of cache misses.  A served score therefore matches the
+evaluation score of the same triple within float round-off; it is bitwise
+equal only when the batch is the same.
 """
 
 from __future__ import annotations
@@ -71,11 +69,9 @@ class InferenceSession:
         graph: KnowledgeGraph,
         default_model: Optional[str] = None,
         cache_size: int = DEFAULT_SCORE_CACHE_SIZE,
-        use_fused: bool = True,
     ) -> None:
         self.registry = registry
         self.default_model = default_model
-        self.use_fused = use_fused
         self.cache = ScoreCache(cache_size)
         self.graph: KnowledgeGraph = None  # type: ignore[assignment]
         self._pool: List[int] = []
@@ -132,9 +128,9 @@ class InferenceSession:
     ) -> np.ndarray:
         """Scores for ``triples``, order-aligned, through the score cache.
 
-        Cache misses are scored in ONE batched model call (the fused path
-        when available), so a coalesced micro-batch reaches the model as a
-        single ``score_triples``/``score_triples_fused`` invocation.
+        Cache misses are scored in ONE batched model call, so a coalesced
+        micro-batch reaches the model as a single ``score_triples``
+        invocation.
         """
         entry = self.resolve_model(model)
         triples = [tuple(int(x) for x in triple) for triple in triples]
@@ -158,16 +154,12 @@ class InferenceSession:
 
                 fresh = score_batch_sharded(pool, entry.key, batch)
             else:
-                scorer = (
-                    entry.model.score_triples_fused
-                    if self.use_fused and hasattr(entry.model, "score_triples_fused")
-                    else entry.model.score_triples
-                )
                 # Serving never backpropagates: no-grad keeps the coalesced
                 # batch forward free of autograd bookkeeping.
                 with no_grad():
                     fresh = np.asarray(
-                        scorer(self.graph, batch), dtype=SCORE_DTYPE
+                        entry.model.score_triples(self.graph, batch),
+                        dtype=SCORE_DTYPE,
                     ).reshape(-1)
             for triple, value in zip(batch, fresh):
                 self.cache.put((entry.key, fingerprint, triple), float(value))
@@ -253,7 +245,6 @@ class InferenceSession:
             },
             "models": self.registry.describe(),
             "cache": self.cache.stats(),
-            "use_fused": self.use_fused,
             "workers": (
                 self.scoring_pool.workers if self.scoring_pool is not None else 1
             ),

@@ -22,6 +22,7 @@ from repro.subgraph.linegraph import (
     build_relational_graph,
     build_relational_graphs_many,
     connection_types,
+    disclosing_relations_many,
     legacy_build_relational_graph,
     target_one_hop_relations,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "legacy_build_relational_graph",
     "connection_types",
     "target_one_hop_relations",
+    "disclosing_relations_many",
     "NUM_EDGE_TYPES",
     "EDGE_TYPE_NAMES",
     "LayerPlan",

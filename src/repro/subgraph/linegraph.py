@@ -427,3 +427,25 @@ def target_one_hop_relations(subgraph: ExtractedSubgraph) -> List[int]:
     heads, tails = arr[:, 0], arr[:, 2]
     mask = (heads == u) | (tails == u) | (heads == v) | (tails == v)
     return arr[mask, 1].tolist()
+
+
+def disclosing_relations_many(graph, triples: Sequence[Triple]) -> List[np.ndarray]:
+    """The NE module's neighborhoods read straight off ``graph``'s CSR.
+
+    Per target ``(u, r, v)``: the relations of the edges incident to ``u``
+    or ``v``, in edge-id order, minus every copy of the target edge
+    ``(u, r, v)`` itself.  For any ``num_hops >= 1`` this equals, order
+    included, ``target_one_hop_relations(extract_disclosing_subgraph(
+    graph, target, num_hops))``: every edge touching ``u`` or ``v`` has its
+    other endpoint one hop away, so it always lies in the disclosing
+    (union) subgraph, and the rest of that subgraph is never read.  One
+    CSR gather serves the whole batch.
+    """
+    targets = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    if len(targets) == 0:
+        return []
+    owners, edge_ids = graph.incident_edge_ids_grouped(targets[:, [0, 2]])
+    rows = graph.triples.array[edge_ids]
+    keep = ~np.all(rows == targets[owners], axis=1)
+    bounds = np.searchsorted(owners[keep], np.arange(1, len(targets)))
+    return np.split(rows[keep, 1], bounds)

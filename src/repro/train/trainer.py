@@ -78,7 +78,6 @@ class TrainingConfig:
     validate_every: int = 0  # 0 = no intra-training validation
     patience: int = 3
     seed: int = 0
-    use_fused_scoring: bool = True  # batched scoring (fused forward on RMPI)
     one_pass_step: bool = True  # positives+negatives in ONE forward/backward
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
 
@@ -191,11 +190,7 @@ class Trainer:
         (no optimiser state advanced).
         """
         config = self.config
-        score_fn = (
-            self.model.score_batch_fused
-            if config.use_fused_scoring
-            else self.model.score_batch
-        )
+        score_fn = self.model.score_batch_fused
         if config.one_pass_step:
             # One merged forward/backward per step: positives and
             # negatives ride the same (disjoint-union) scoring pass,
@@ -209,7 +204,7 @@ class Trainer:
         loss = margin_ranking_loss(pos_scores, neg_scores, margin=config.margin)
         self.optimizer.zero_grad()
         loss.backward()
-        clip_grad_norm(self.model.parameters(), config.clip_norm)
+        clip_grad_norm(self.optimizer.parameters, config.clip_norm)
         self.optimizer.step()
         return float(loss.data)
 

@@ -140,3 +140,96 @@ class TestLayers:
     def test_modulelist_not_callable(self, rng):
         with pytest.raises(TypeError):
             ModuleList([])(1)
+
+
+# ----------------------------------------------------------------------
+def exhaustive_named_parameters(module, prefix=""):
+    """The walk over *every* attribute (dict values included) that the
+    tree-attribute walk must reproduce, names and order alike."""
+    for attr, value in vars(module).items():
+        name = f"{prefix}.{attr}" if prefix else attr
+        if isinstance(value, Parameter):
+            yield name, value
+        elif isinstance(value, Module):
+            yield from exhaustive_named_parameters(value, name)
+        elif isinstance(value, (list, tuple)):
+            for i, item in enumerate(value):
+                if isinstance(item, Parameter):
+                    yield f"{name}[{i}]", item
+                elif isinstance(item, Module):
+                    yield from exhaustive_named_parameters(item, f"{name}[{i}]")
+        elif isinstance(value, dict):
+            for key, item in value.items():
+                if isinstance(item, Parameter):
+                    yield f"{name}[{key}]", item
+                elif isinstance(item, Module):
+                    yield from exhaustive_named_parameters(item, f"{name}[{key}]")
+
+
+class CountingDict(dict):
+    """A dict that counts how often its entries are iterated."""
+
+    iterations = 0
+
+    def values(self):
+        type(self).iterations += 1
+        return super().values()
+
+    def items(self):
+        type(self).iterations += 1
+        return super().items()
+
+    def __iter__(self):
+        type(self).iterations += 1
+        return super().__iter__()
+
+
+def assert_same_walk(module) -> None:
+    produced = list(module.named_parameters())
+    expected = list(exhaustive_named_parameters(module))
+    assert [name for name, _ in produced] == [name for name, _ in expected]
+    assert all(a is b for (_, a), (_, b) in zip(produced, expected))
+
+
+class TestTreeWalk:
+    def test_named_parameters_match_exhaustive_walk(self, rng):
+        from repro.experiments.runner import MODEL_NAMES, make_model
+
+        for net in [Net(rng), ModuleList([]), MLP([3, 4, 2], rng)]:
+            assert_same_walk(net)
+        for name in MODEL_NAMES:
+            assert_same_walk(make_model(name, 6, seed=0, embed_dim=8))
+        schema = np.ones((6, 4), dtype=np.float32)
+        assert_same_walk(make_model("RMPI-NE-TA", 6, schema_vectors=schema, embed_dim=8))
+
+    def test_modulelist_filled_after_assignment(self, rng):
+        blocks = ModuleList()
+        blocks.append(Linear(2, 2, rng))
+        assert [name for name, _ in blocks.named_parameters()] == [
+            "items[0].weight",
+            "items[0].bias",
+        ]
+        blocks.eval()
+        assert not blocks[0].training
+
+    def test_reassigned_attribute_leaves_tree(self, rng):
+        net = Net(rng)
+        net.fc2 = None
+        assert not any(name.startswith("fc2.") for name, _ in net.named_parameters())
+
+    def test_mode_switch_never_walks_caches(self, family_graph):
+        """A mode switch or a parameter walk costs the same however full
+        the model's sample cache is: the cache is never iterated."""
+        from repro.core import RMPI
+
+        model = RMPI(family_graph.num_relations, np.random.default_rng(0))
+        model._sample_cache = CountingDict()
+        model.score_triples(family_graph, [(0, 0, 1), (2, 1, 0)])
+        for key in range(5000):
+            model._sample_cache[(0, (key, 0, 0))] = object()
+        CountingDict.iterations = 0
+        model.train()
+        model.eval()
+        model.parameters()
+        model.state_dict()
+        assert CountingDict.iterations == 0

@@ -8,7 +8,8 @@ out empty (fewer items than ranks):
 * data-parallel step  — equivalent gradients/parameters (float-summation
   order differs across shards, so tolerance-based; workers=1 is bitwise);
 * parallel evaluation — **bitwise** identical metrics (candidate drawing
-  stays in the parent; per-query scoring is batch-composition-independent);
+  stays in the parent; workers score the same protocol batches as the
+  serial loop: one per ranking query, fixed chunks for classification);
 * serving pool        — fused-path scores within engine round-off, with
   the registry-snapshot guard for late registrations.
 
@@ -449,6 +450,44 @@ class TestParallelEvaluation:
                 targets, np.random.default_rng(9)
             )
         assert produced == reference
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_fused_ne_ta_bitwise(self, workers, max_workers):
+        """The fully-inductive cell's model (RMPI-NE-TA, embed_dim 32) and
+        split.  The fused forward's round-off depends on batch composition
+        (one call over the 68 targets and two calls over halves differ in
+        the last bit), so classification scores must come from the same
+        chunks at every worker count — checked on the raw scores, which
+        AUC-PR alone would rarely expose, and on both protocols' metrics."""
+        from repro.eval.protocol import (
+            CLASSIFICATION_CHUNK,
+            evaluate_both,
+            score_in_chunks,
+        )
+        from repro.experiments.runner import make_model as make_named_model
+        from repro.kg import build_full_benchmark
+        from repro.parallel.evaluation import score_triples_sharded
+
+        workers = capped(workers, max_workers)
+        bench = build_full_benchmark("NELL-995", 4, 3, scale=0.2, seed=0)
+        graph, targets = bench.fully_test_graph, bench.fully_test_triples
+        assert CLASSIFICATION_CHUNK < len(targets)
+
+        def fresh_model():
+            return make_named_model(
+                "RMPI-NE-TA", bench.num_relations, seed=0, embed_dim=32
+            )
+
+        reference = score_in_chunks(fresh_model(), graph, list(targets))
+        with ParallelEvaluator(fresh_model(), graph, workers=workers) as evaluator:
+            produced = score_triples_sharded(evaluator.pool, list(targets))
+        np.testing.assert_array_equal(produced, reference)
+
+        serial = evaluate_both(fresh_model(), graph, targets, seed=4, num_negatives=9)
+        parallel = evaluate_both(
+            fresh_model(), graph, targets, seed=4, num_negatives=9, workers=workers
+        )
+        assert parallel == serial  # bitwise: dataclass equality on floats
 
     @pytest.mark.slow
     @given(

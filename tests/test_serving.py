@@ -256,18 +256,25 @@ class TestModelRegistry:
 class TestInferenceSession:
     def test_score_matches_model_path(self, family_graph):
         registry = _registry(family_graph)
-        session = InferenceSession(registry, family_graph, use_fused=False)
+        session = InferenceSession(registry, family_graph)
         triples = [(0, 0, 1), (2, 1, 0), (3, 4, 1)]
         expected = registry.get("rmpi").model.score_triples(family_graph, triples)
         assert session.score(triples) == pytest.approx(expected)
 
     def test_fused_matches_per_sample(self, family_graph):
+        # The served (fused, batched) scores agree with the per-sample
+        # score_sample oracle within float round-off.
         registry = _registry(family_graph)
-        plain = InferenceSession(registry, family_graph, use_fused=False, cache_size=0)
-        fused = InferenceSession(registry, family_graph, use_fused=True, cache_size=0)
+        session = InferenceSession(registry, family_graph, cache_size=0)
         triples = [(0, 0, 1), (2, 1, 0), (3, 4, 1), (0, 3, 4)]
-        assert fused.score(triples) == pytest.approx(
-            plain.score(triples), abs=score_tolerance()["atol"]
+        model = registry.get("rmpi").model
+        model.eval()
+        oracle = [
+            float(model.score_sample(sample).data.reshape(-1)[0])
+            for sample in model.prepared_many(family_graph, triples)
+        ]
+        assert session.score(triples) == pytest.approx(
+            oracle, abs=score_tolerance()["atol"]
         )
 
     def test_cache_short_circuits_model(self, family_graph):
@@ -537,6 +544,61 @@ class TestMicroBatchScheduler:
         scheduler.stop()
 
 
+def _read_http_response(sock_file) -> tuple:
+    """``(status, body)`` of one HTTP/1.1 response with a Content-Length."""
+    status = int(sock_file.readline().split()[1])
+    length = 0
+    while True:
+        line = sock_file.readline().strip()
+        if not line:
+            break
+        name, _, value = line.partition(b":")
+        if name.strip().lower() == b"content-length":
+            length = int(value)
+    return status, sock_file.read(length)
+
+
+class TestKeepAlive:
+    def test_sequential_requests_do_not_wait_for_delayed_acks(self, family_graph):
+        """20 sequential ``/score`` requests on one raw keep-alive socket
+        finish well under 20 delayed ACKs (~40 ms each on Linux).  With
+        Nagle's algorithm on, the body segment of every response waits for
+        the client's delayed ACK of the header segment."""
+        import json
+        import socket
+        import time
+
+        registry = _registry(family_graph)
+        app = ServingApp(
+            registry, family_graph, ServingConfig(default_model="rmpi", max_wait_ms=0.0)
+        )
+        body = json.dumps({"triples": [[0, 0, 1]]}).encode()
+        request = (
+            b"POST /score HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\n"
+            + f"Content-Length: {len(body)}\r\n\r\n".encode()
+            + body
+        )
+        with ServingServer(app) as server:
+            address = (server.host, server.port)
+            with socket.create_connection(address, timeout=10) as sock, sock.makefile(
+                "rb"
+            ) as sock_file:
+
+                def score_once() -> None:
+                    sock.sendall(request)  # one segment: no client-side stall
+                    status, payload = _read_http_response(sock_file)
+                    assert status == 200
+                    assert len(json.loads(payload)["scores"]) == 1
+
+                score_once()  # scores the triple; the rest hit the score cache
+                start = time.perf_counter()
+                for _ in range(20):
+                    score_once()
+                elapsed = time.perf_counter() - start
+        assert elapsed < 20 * 0.040 / 2, f"{elapsed:.3f} s for 20 requests"
+
+
 class TestMetricsEndpoint:
     """GET /metrics: the registry snapshot must agree with the ScoringStats
     shim and the score-cache counters, serial and under scoring workers."""
@@ -692,14 +754,10 @@ def served(trained_checkpoint):
     app = ServingApp(
         registry,
         bench.test_graph,
-        # use_fused=False: byte-identical to the offline eval scoring path,
-        # so ranking parity below is exact (fused equivalence is covered by
-        # TestInferenceSession.test_fused_matches_per_sample).
         ServingConfig(
             default_model="rmpi-base",
             max_batch_size=8,
             max_wait_ms=300.0,
-            use_fused=False,
         ),
     )
     with ServingServer(app) as server:
@@ -748,7 +806,10 @@ class TestHTTPServing:
             candidate_entities=pool,
             corrupt_head=False,
         )
-        # The offline protocol's scoring path, verbatim.
+        # The offline protocol's scoring path, verbatim.  Scores are only
+        # bitwise equal for the same batch, so the served request must not
+        # mix in scores cached from earlier batches.
+        server.app.session.cache.clear()
         model = registry.get("rmpi-base").model
         eval_scores = model.score_triples(graph, candidates)
         eval_order = [
